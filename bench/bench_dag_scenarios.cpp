@@ -18,6 +18,7 @@
 #include "rxl/sim/stats.hpp"
 #include "rxl/sim/trial_runner.hpp"
 #include "rxl/transport/dag_fabric.hpp"
+#include "rxl/transport/fabric.hpp"
 
 using namespace rxl;
 

@@ -8,7 +8,7 @@
 #include "rxl/phy/error_model.hpp"
 #include "rxl/sim/stats.hpp"
 #include "rxl/sim/trial_runner.hpp"
-#include "rxl/switchdev/switch_device.hpp"
+#include "rxl/switchdev/port_switch.hpp"
 #include "rxl/transport/endpoint.hpp"
 #include "rxl/txn/scoreboard.hpp"
 
@@ -40,15 +40,16 @@ TraceResult run_trace(transport::Protocol protocol, flit::MessageKind kind) {
                                     2, 2000, 2000);
   sim::LinkChannel device_to_host(queue, std::make_unique<phy::NoErrors>(), 3,
                                   2000, 2000);
-  switchdev::SwitchDevice::Config sw_config;
+  switchdev::PortSwitch::Config sw_config;
+  sw_config.ports = 1;
   sw_config.protocol = protocol;
   sw_config.forward_latency = 2000;
-  switchdev::SwitchDevice sw(queue, sw_config, 4);
+  switchdev::PortSwitch sw(queue, sw_config, 4);
 
   host.set_output(&host_to_switch);
   host_to_switch.set_receiver(
       [&sw](sim::FlitEnvelope&& envelope) { sw.on_flit(std::move(envelope)); });
-  sw.set_output(&switch_to_device);
+  sw.set_output(0, &switch_to_device);
   switch_to_device.set_receiver([&device](sim::FlitEnvelope&& envelope) {
     device.on_flit(std::move(envelope));
   });

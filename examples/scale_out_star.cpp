@@ -7,7 +7,7 @@
 #include <cstdlib>
 
 #include "rxl/sim/stats.hpp"
-#include "rxl/transport/dag_fabric.hpp"
+#include "rxl/transport/fabric.hpp"
 
 using namespace rxl;
 

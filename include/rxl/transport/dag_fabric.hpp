@@ -1,7 +1,6 @@
-// Multi-hop DAG fabrics with per-hop ISN domains.
+// Multi-hop DAG fabrics with per-hop ISN domains: the one fabric harness.
 //
-// The star/level harnesses hard-code their wiring; DagFabric replaces that
-// with graph construction over three node kinds:
+// Every topology is graph construction over three node kinds:
 //  * kTerminal — a flow source/sink (one NIC: at most one uplink edge and
 //    one downlink edge).
 //  * kRelay    — a DNP-style store-and-forward switch that TERMINATES the
@@ -9,22 +8,25 @@
 //    hop is its own ISN/CRC + retry domain with independent sequence state.
 //  * kHub      — a transparent multi-port switch (switchdev::PortSwitch)
 //    that forwards without touching sequence numbers, splicing the ISN
-//    domain through — exactly the paper's switch model. The legacy star
-//    fabric is this: endpoints around one hub.
+//    domain through — exactly the paper's switch model.
+// The paper's canned scenarios (the host <-> N-switch-level <-> device
+// evaluation fabric and the scale-out star) are DAGs built in fabric.hpp.
 //
 // Edges are directed links, each with its own ErrorModel parameters and
 // channel seed. An ISN domain spans termination-to-termination: a direct
-// edge between terminating nodes, or an edge pair through one hub. When the
-// topology also contains the reverse segment, the domain is bidirectional
-// (one Endpoint per side, ACKs piggyback — the legacy configuration);
-// otherwise an implicit reverse control channel is synthesised and ACKs
-// travel standalone.
+// edge between terminating nodes, or a path through a chain of one or more
+// hubs. When the topology also contains a segment back between the same
+// two terminations (through the same hubs or others), the domain is
+// bidirectional (one Endpoint per side, ACKs piggyback, as in the paper's
+// host <-> device fabric); otherwise an implicit reverse control channel is
+// synthesised and ACKs travel standalone.
 //
 // Routing is deterministic and table-driven: per-flow shortest paths
 // (breadth-first, ties broken by lowest edge id) compiled into per-relay
-// flow tables and per-domain hub egress tags. plan_dag() validates the
-// topology (acyclicity of the switching core, reachability, port fan-out
-// limits, domain exclusivity) before anything is instantiated.
+// flow tables and per-stage hub egress tags (each hub rewrites the tag for
+// the next hub of its chain). plan_dag() validates the topology
+// (acyclicity of the switching core, reachability, port fan-out limits,
+// domain exclusivity) before anything is instantiated.
 #pragma once
 
 #include <array>
@@ -43,7 +45,6 @@
 #include "rxl/switchdev/relay_switch.hpp"
 #include "rxl/transport/config.hpp"
 #include "rxl/transport/endpoint.hpp"
-#include "rxl/transport/star_fabric.hpp"
 #include "rxl/transport/traffic_gen.hpp"
 #include "rxl/txn/scoreboard.hpp"
 
@@ -55,8 +56,8 @@ struct DagNode {
   std::string name;
   DagNodeKind kind = DagNodeKind::kTerminal;
   /// Hub internal-corruption RNG seed; drawn from the fabric seeder when
-  /// unset. Explicit seeds exist so legacy harnesses can be reproduced
-  /// draw-for-draw (see run_star_fabric_via_dag).
+  /// unset. Explicit seeds let the canned scenarios in fabric.hpp replay
+  /// the seed order of the hand-wired builders they replaced.
   std::optional<std::uint64_t> seed;
 };
 
@@ -194,15 +195,25 @@ inline constexpr std::size_t kLatencyRingSlots = 4096;
 /// The compiled routing plan: what plan_dag() validates and run_dag_fabric()
 /// instantiates. Exposed so tests can pin routing decisions directly.
 struct DagPlan {
+  /// One transparent switch stage of a segment: the hub, the egress port
+  /// a flit leaves it through (the tag the previous stage stamps), and the
+  /// edge that port drives (into the next hub, or into the peer).
+  struct HubStage {
+    std::uint16_t node = 0;
+    std::uint16_t port = 0;
+    std::uint16_t edge = 0;
+  };
   /// One ISN domain direction: origin termination -> peer termination,
-  /// optionally through one hub.
+  /// directly or through a chain of hubs.
   struct Segment {
     std::uint16_t origin = 0;  ///< terminating node the data leaves
     std::uint16_t peer = 0;    ///< terminating node the data reaches
     std::uint16_t egress_edge = 0;   ///< edge out of origin
     std::uint16_t ingress_edge = 0;  ///< edge into peer (== egress if direct)
-    std::optional<std::uint16_t> hub;
-    std::uint16_t hub_port = 0;  ///< hub egress port tag stamped at origin
+    /// Hubs crossed in path order (empty for a direct edge). The origin
+    /// stamps hubs.front().port; each hub rewrites the tag to the next
+    /// stage's port as it forwards.
+    std::vector<HubStage> hubs;
     /// Index of the reverse segment when the topology carries one (the
     /// domain is then bidirectional and ACKs piggyback on reverse data).
     std::optional<std::uint32_t> mate;
@@ -230,13 +241,17 @@ struct DagPlan {
 /// Validates the topology and compiles the routing plan.
 /// Throws std::invalid_argument (with the offending node/edge named) on:
 /// bad indices, self/duplicate edges, fan-out beyond max_ports, terminals
-/// with more than one uplink/downlink, hub-adjacent hubs, idle hubs, a
-/// cyclic switching core, unreachable flows, several flows originating at
-/// one terminal, two ISN domains multiplexed onto one hub egress edge, or
-/// a credit configuration that could deadlock (an explicit zero-credit
-/// edge, a window beyond link::kMaxCreditWindow, or credits on a CXL
-/// domain crossing a transparent hub — §4.1 silent drops would leak
-/// window slots forever). The acyclic switching
+/// with more than one uplink/downlink, idle hubs, a cyclic switching core,
+/// unreachable flows, several flows originating at one terminal, one TX
+/// termination fanning out into two hub chains, two ISN domains
+/// multiplexed onto any edge leaving a hub (an implicit-sequence receiver
+/// cannot demux them), or a credit configuration that could deadlock (an
+/// explicit zero-credit edge, a window beyond link::kMaxCreditWindow,
+/// credits on an edge entering a hub, or credits on a CXL domain crossing
+/// any hub of a chain — §4.1 silent drops would leak window slots
+/// forever). Adjacent hubs are legal: a domain may cross a chain of them,
+/// and its mate is the first unpaired segment back between the same two
+/// terminations, whichever hubs that crosses. The acyclic switching
 /// core plus >= 1 credit per flow-controlled hop is the plan-time
 /// deadlock-safety argument: sinks always drain, so by induction along the
 /// (finite, acyclic) downstream order every relay egress eventually
@@ -331,6 +346,10 @@ struct DagReport {
   std::vector<DagLinkStats> hops;
   std::vector<DagRelayReport> relays;
   std::vector<DagHubReport> hubs;
+  /// Every DagEdge's channel counters, indexed by edge id. DagLinkStats
+  /// keeps only the first wire of each domain direction; a hub chain's
+  /// later wires are reported here.
+  std::vector<sim::ChannelStats> edge_channels;
   std::vector<DagRerouteReport> reroutes;  ///< controller episodes, in order
   /// Deliveries at a terminal whose flow tag names another destination (a
   /// routing-table bug would show up here; the tests pin it at zero).
@@ -490,20 +509,5 @@ struct DagFlowClass {
 [[nodiscard]] DagConfig make_trunk_dag(const DagScenarioSpec& spec,
                                        std::size_t sources,
                                        std::span<const DagFlowClass> classes);
-
-/// The legacy star fabric expressed as a one-hub DAG: N terminal pairs
-/// around a single transparent hub, seeds drawn in the order the deleted
-/// hard-coded builder used (down switch, up switch, then per pair the four
-/// channels), so a run is trajectory-identical to the legacy wiring on the
-/// same StarConfig (when switch_internal_error_rate is zero; with internal
-/// corruption the legacy build used one RNG stream per direction and the
-/// single hub uses one in total). The equivalence test pins this against
-/// counters recorded from the last legacy build, field-for-field.
-[[nodiscard]] DagConfig make_star_dag(const StarConfig& config);
-
-/// Runs make_star_dag() and repackages the DagReport as a StarReport.
-/// `hub` carries the shared switch's aggregate counters (what the legacy
-/// build split across its two per-direction switch instances).
-[[nodiscard]] StarReport run_star_fabric_via_dag(const StarConfig& config);
 
 }  // namespace rxl::transport

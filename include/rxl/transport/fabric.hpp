@@ -1,21 +1,33 @@
-// End-to-end fabric harness: host <-> (N switch levels) <-> device.
+// The paper's canned fabric scenarios, each expressed as a DagFabric
+// topology (dag_fabric.hpp) and reported in its historical shape.
 //
-// Builds the full simulated topology for the paper's evaluation
-// configurations — direct connection (0 levels) up to multi-level switching
-// — runs bidirectional traffic for a fixed horizon, and reports the
-// per-direction protocol statistics plus the application-level failure
-// scoreboards (Fail_order / Fail_data).
+//  * The evaluation fabric (§7): host <-> N switch levels <-> device, one
+//    transparent switch chain per direction (make_level_dag / run_fabric).
+//    Every switch decodes FEC and drops bad flits silently and never reads
+//    sequence numbers, so each direction is one ISN domain spliced through
+//    a chain of hubs. run_fabric reports per-direction protocol statistics
+//    and the application-level failure scoreboards (Fail_order /
+//    Fail_data).
+//  * The scale-out star: N host/device pairs around one shared hub
+//    (make_star_dag / run_star_fabric_via_dag). One pair's drops never
+//    perturb another pair's ordering, while contention and error handling
+//    are shared.
+//
+// Both builders replay the seed-draw order of the hand-wired builders they
+// replaced as explicit DagEdge/DagNode seeds, so a run is trajectory-
+// identical to the old wiring; equivalence tests pin counters recorded
+// from those builders field for field.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "rxl/link/link_layer.hpp"
-#include "rxl/switchdev/switch_device.hpp"
+#include "rxl/switchdev/port_switch.hpp"
 #include "rxl/transport/config.hpp"
+#include "rxl/transport/dag_fabric.hpp"
 #include "rxl/transport/endpoint.hpp"
 #include "rxl/txn/scoreboard.hpp"
 
@@ -70,10 +82,65 @@ struct FabricReport {
   std::uint64_t slots = 0;  ///< link slot capacity over the horizon
 };
 
-/// Builds, runs, and tears down a fabric simulation.
+/// The evaluation fabric as a DAG. Nodes: host (0), device (1), the
+/// downstream switches (2 .. L+1), then the upstream switches. Edges: the
+/// downstream wires host -> sw -> ... -> device (ids 0 .. L), then the
+/// upstream wires device -> ... -> host (ids L+1 .. 2L+1). Flow 0 runs
+/// host -> device (salt 0x00D0), flow 1 device -> host (salt 0x0B0B). Seeds
+/// are drawn in the order the hand-wired builder drew them: downstream
+/// channels, downstream switches, upstream channels, upstream switches.
+[[nodiscard]] DagConfig make_level_dag(const FabricConfig& config);
+
+/// Runs make_level_dag() and repackages the DagReport as a FabricReport.
 [[nodiscard]] FabricReport run_fabric(const FabricConfig& config);
 
 /// Pretty one-line summary for examples.
 [[nodiscard]] std::string summarize(const FabricReport& report);
+
+struct StarConfig {
+  ProtocolConfig protocol;
+  std::size_t pairs = 4;
+  double ber = 0.0;
+  double burst_injection_rate = 0.0;
+  std::size_t burst_symbols = 4;
+  double switch_internal_error_rate = 0.0;
+  TimePs slot = kFlitSlotPs;
+  TimePs propagation_latency = 8'000;
+  TimePs switch_latency = 10'000;
+  std::uint64_t seed = 1;
+  std::uint64_t flits_per_direction = 0;  ///< per pair, per direction
+  TimePs horizon = 0;
+};
+
+struct PairReport {
+  txn::StreamScoreboard::Stats downstream;  ///< host i -> device i
+  txn::StreamScoreboard::Stats upstream;    ///< device i -> host i
+};
+
+struct StarReport {
+  std::vector<PairReport> pairs;
+  /// The shared switch's aggregate counters, both directions.
+  switchdev::PortSwitchStats hub;
+  std::uint64_t slots = 0;
+
+  /// Aggregate Fail_order events across all pairs and directions.
+  [[nodiscard]] std::uint64_t total_order_failures() const;
+  [[nodiscard]] std::uint64_t total_missing() const;
+  [[nodiscard]] std::uint64_t total_in_order() const;
+};
+
+/// The star as a one-hub DAG: hosts 0 .. N-1, devices N .. 2N-1, then the
+/// hub. Per pair the edges are host uplink, device downlink, device uplink
+/// and host downlink, so hub port 2i leads to device i and port 2i+1 to
+/// host i. Seeds are drawn in the order the hand-wired star builder used
+/// (down switch, up switch, then per pair the four channels), so a run is
+/// trajectory-identical to it on the same StarConfig (when
+/// switch_internal_error_rate is zero; with internal corruption the old
+/// build used one RNG stream per direction and the single hub uses one in
+/// total).
+[[nodiscard]] DagConfig make_star_dag(const StarConfig& config);
+
+/// Runs make_star_dag() and repackages the DagReport as a StarReport.
+[[nodiscard]] StarReport run_star_fabric_via_dag(const StarConfig& config);
 
 }  // namespace rxl::transport

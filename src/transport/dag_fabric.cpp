@@ -8,13 +8,46 @@
 #include <stdexcept>
 #include <utility>
 
+#include "rxl/common/bytes.hpp"
+#include "rxl/common/rng.hpp"
 #include "rxl/link/credit.hpp"
 #include "rxl/link/sequence.hpp"
+#include "rxl/phy/error_model.hpp"
 #include "rxl/sim/event_queue.hpp"
-#include "rxl/transport/traffic.hpp"
 
 namespace rxl::transport {
 namespace {
+
+/// The 240 B payload for stream position `index`, salted per flow. Word 0
+/// carries the index (handy when eyeballing traces); the rest is a
+/// deterministic PRNG fill so corruption cannot alias.
+std::vector<std::uint8_t> make_stream_payload(std::uint64_t index,
+                                              std::uint64_t salt) {
+  std::vector<std::uint8_t> payload(kPayloadBytes, 0);
+  Xoshiro256 rng(index * 0x9E3779B97F4A7C15ull + salt);
+  for (std::size_t i = 8; i < payload.size(); i += 8)
+    store_le64(payload, i, rng());
+  store_le64(payload, 0, index);
+  return payload;
+}
+
+/// Composes the per-link error process: independent bit errors and/or
+/// Bernoulli-gated symbol bursts, collapsing to NoErrors on a clean link.
+std::unique_ptr<phy::ErrorModel> make_error_model(double ber,
+                                                  double burst_injection_rate,
+                                                  std::size_t burst_symbols) {
+  std::vector<std::unique_ptr<phy::ErrorModel>> models;
+  if (ber > 0.0)
+    models.push_back(std::make_unique<phy::IndependentBitErrors>(ber));
+  if (burst_injection_rate > 0.0) {
+    models.push_back(std::make_unique<phy::BernoulliGate>(
+        burst_injection_rate,
+        std::make_unique<phy::SymbolBurstInjector>(burst_symbols)));
+  }
+  if (models.empty()) return std::make_unique<phy::NoErrors>();
+  if (models.size() == 1) return std::move(models.front());
+  return std::make_unique<phy::CompositeErrorModel>(std::move(models));
+}
 
 [[noreturn]] void invalid(std::string message) {
   throw std::invalid_argument(std::move(message));
@@ -175,16 +208,6 @@ DagPlan plan_dag(const DagConfig& config) {
           message += label(v);
           message += " needs at least one ingress and one egress edge";
           invalid(std::move(message));
-        }
-        for (const std::uint16_t e : out_edges[v]) {
-          if (kind(config.edges[e].dst) == DagNodeKind::kHub) {
-            std::string message = "hubs ";
-            message += label(v);
-            message += " and ";
-            message += label(config.edges[e].dst);
-            message += " are adjacent; an ISN domain may cross at most one hub";
-            invalid(std::move(message));
-          }
         }
         break;
       case DagNodeKind::kRelay:
@@ -389,17 +412,27 @@ DagPlan plan_dag(const DagConfig& config) {
         "ecn_threshold set with credit flow control off everywhere; ECN "
         "early backpressure needs hop_credits or per-edge credits");
 
-  // Segment extraction: split each path at terminating nodes. The hub
-  // adjacency check above guarantees a run between terminations is one
-  // direct edge or an (entry, exit) pair through one hub.
+  // Segment extraction: split each path at terminating nodes. A run
+  // between terminations is one direct edge or a chain of hubs, each stage
+  // tagged with the hub egress port it leaves through.
   auto hub_port_of = [&](std::uint16_t hub, std::uint16_t edge) {
     const std::vector<std::uint16_t>& outs = out_edges[hub];
     const auto it = std::find(outs.begin(), outs.end(), edge);
     assert(it != outs.end());
     return static_cast<std::uint16_t>(it - outs.begin());
   };
+  // segment_of_egress dedups domains (flows sharing a termination's egress
+  // edge share its ISN domain); hub_edge_owner claims every edge leaving a
+  // hub for the one domain whose flits ride it.
   std::vector<std::int32_t> segment_of_egress(config.edges.size(), -1);
-  std::vector<std::int32_t> segment_of_ingress(config.edges.size(), -1);
+  std::vector<std::int32_t> hub_edge_owner(config.edges.size(), -1);
+  auto same_stages = [](const DagPlan::Segment& a, const DagPlan::Segment& b) {
+    return std::equal(
+        a.hubs.begin(), a.hubs.end(), b.hubs.begin(), b.hubs.end(),
+        [](const DagPlan::HubStage& x, const DagPlan::HubStage& y) {
+          return x.edge == y.edge;
+        });
+  };
   auto extract_segments = [&](const std::vector<std::uint16_t>& path,
                               std::vector<std::uint32_t>& into) {
     std::size_t i = 0;
@@ -408,47 +441,49 @@ DagPlan plan_dag(const DagConfig& config) {
       const std::uint16_t e1 = path[i];
       segment.origin = config.edges[e1].src;
       segment.egress_edge = e1;
-      if (kind(config.edges[e1].dst) == DagNodeKind::kHub) {
+      segment.ingress_edge = e1;
+      for (std::uint16_t hub = config.edges[e1].dst;
+           kind(hub) == DagNodeKind::kHub;
+           hub = config.edges[segment.ingress_edge].dst) {
         assert(i + 1 < path.size());
-        const std::uint16_t e2 = path[i + 1];
-        segment.hub = config.edges[e1].dst;
-        segment.hub_port = hub_port_of(*segment.hub, e2);
-        segment.ingress_edge = e2;
-        segment.peer = config.edges[e2].dst;
-        i += 2;
-      } else {
-        segment.ingress_edge = e1;
-        segment.peer = config.edges[e1].dst;
-        i += 1;
+        const std::uint16_t next = path[++i];
+        segment.hubs.push_back(
+            DagPlan::HubStage{hub, hub_port_of(hub, next), next});
+        segment.ingress_edge = next;
       }
+      segment.peer = config.edges[segment.ingress_edge].dst;
+      i += 1;
       const std::int32_t existing = segment_of_egress[segment.egress_edge];
       if (existing >= 0) {
         const DagPlan::Segment& other =
             plan.segments[static_cast<std::size_t>(existing)];
-        if (other.ingress_edge != segment.ingress_edge) {
+        if (!same_stages(other, segment)) {
           std::string message = "ISN domain leaving ";
           message += label(segment.origin);
           message += " fans out at hub ";
-          message += label(segment.hub.value_or(segment.peer));
+          message += label(segment.hubs.front().node);
           message += " (one TX termination cannot feed two receivers)";
           invalid(std::move(message));
         }
         into.push_back(static_cast<std::uint32_t>(existing));
         continue;
       }
-      if (segment_of_ingress[segment.ingress_edge] >= 0) {
-        std::string message =
-            "two ISN domains are multiplexed onto the edge into ";
-        message += label(segment.peer);
-        message += " (an implicit-sequence receiver cannot demux them)";
-        invalid(std::move(message));
-      }
       const std::uint32_t index =
           static_cast<std::uint32_t>(plan.segments.size());
+      for (const DagPlan::HubStage& stage : segment.hubs) {
+        if (hub_edge_owner[stage.edge] >= 0) {
+          std::string message =
+              "two ISN domains are multiplexed onto the edge ";
+          message += label(stage.node);
+          message += " -> ";
+          message += label(config.edges[stage.edge].dst);
+          message += " (an implicit-sequence receiver cannot demux them)";
+          invalid(std::move(message));
+        }
+        hub_edge_owner[stage.edge] = static_cast<std::int32_t>(index);
+      }
       segment_of_egress[segment.egress_edge] = static_cast<std::int32_t>(index);
-      segment_of_ingress[segment.ingress_edge] =
-          static_cast<std::int32_t>(index);
-      plan.segments.push_back(segment);
+      plan.segments.push_back(std::move(segment));
       into.push_back(index);
     }
   };
@@ -481,9 +516,13 @@ DagPlan plan_dag(const DagConfig& config) {
       const DagFlow& flow = config.flows[f];
       for (const std::uint32_t si : plan.flow_segments[f]) {
         const DagPlan::Segment& segment = plan.segments[si];
-        if (edge_doomed[segment.egress_edge] == 0 &&
-            edge_doomed[segment.ingress_edge] == 0)
-          continue;
+        const bool doomed =
+            edge_doomed[segment.egress_edge] != 0 ||
+            std::any_of(segment.hubs.begin(), segment.hubs.end(),
+                        [&](const DagPlan::HubStage& stage) {
+                          return edge_doomed[stage.edge] != 0;
+                        });
+        if (!doomed) continue;
         // A fail-stop relay raises no usable HopDownEvent for its own
         // egress hops (its protocol state is lost with it); the upstream
         // segment INTO the failed relay owns the recovery instead.
@@ -533,17 +572,17 @@ DagPlan plan_dag(const DagConfig& config) {
   // inflates the window past the advertised depth. Relay-terminated hops
   // and hubless CXL domains detect every drop at the receiving endpoint
   // and stay exactly-once, so only the hub-crossing CXL combination is
-  // rejected.
+  // rejected — whichever hub of a chain does the dropping.
   if (config.protocol.protocol == Protocol::kCxl) {
     for (const DagPlan::Segment& segment : plan.segments) {
-      if (!segment.hub.has_value()) continue;
+      if (segment.hubs.empty()) continue;
       const std::size_t credits =
           config.edges[segment.ingress_edge].credits.value_or(
               config.hop_credits);
       if (credits > 0) {
         std::string message =
             "credit flow control on the CXL domain through hub ";
-        message += label(*segment.hub);
+        message += label(segment.hubs.front().node);
         message += " would leak credits on silently dropped flits (§4.1 "
                    "losses are invisible to the cumulative return count); "
                    "use RXL, terminate the hop at a relay, or disable "
@@ -553,16 +592,17 @@ DagPlan plan_dag(const DagConfig& config) {
     }
   }
 
-  // Pair mutually reverse segments into bidirectional domains. At most one
-  // candidate can exist (duplicate edges are rejected above and hubs are
-  // matched exactly), so a linear scan suffices.
+  // Pair mutually reverse segments into bidirectional domains. Pairing
+  // matches the two terminations only: the directions may cross different
+  // hub chains (the paper's host <-> N-level <-> device fabric has one
+  // switch chain per direction). The first unpaired candidate in segment
+  // order wins, so the pairing is deterministic.
   for (std::size_t i = 0; i < plan.segments.size(); ++i) {
     if (plan.segments[i].mate.has_value()) continue;
     for (std::size_t j = i + 1; j < plan.segments.size(); ++j) {
       if (plan.segments[j].mate.has_value()) continue;
       if (plan.segments[j].origin == plan.segments[i].peer &&
-          plan.segments[j].peer == plan.segments[i].origin &&
-          plan.segments[j].hub == plan.segments[i].hub) {
+          plan.segments[j].peer == plan.segments[i].origin) {
         plan.segments[i].mate = static_cast<std::uint32_t>(j);
         plan.segments[j].mate = static_cast<std::uint32_t>(i);
         break;
@@ -803,9 +843,9 @@ DagReport run_dag_fabric(const DagConfig& config) {
   for (std::size_t e = 0; e < config.edges.size(); ++e)
     out_edges[config.edges[e].src].push_back(static_cast<std::uint16_t>(e));
 
-  // Seed draw order is part of the determinism contract (and of the legacy
-  // star reproduction): hubs first in node order, then forward channels in
-  // edge order, then implicit control wires in domain order.
+  // Seed draw order is part of the determinism contract: hubs first in node
+  // order, then forward channels in edge order, then implicit control wires
+  // in domain order. Explicit seeds draw nothing.
   std::vector<std::unique_ptr<switchdev::PortSwitch>> hubs(node_count);
   for (std::size_t v = 0; v < node_count; ++v) {
     if (kind(v) != DagNodeKind::kHub) continue;
@@ -882,6 +922,32 @@ DagReport run_dag_fabric(const DagConfig& config) {
     if (tx_edge != DagRelayPort::kNoEdge) port.tx_edge = tx_edge;
   };
 
+  // The port tag a domain direction's TX stamps: its first hub's egress.
+  auto first_hub_port = [](const DagPlan::Segment& segment) {
+    return segment.hubs.empty() ? std::uint16_t{0} : segment.hubs.front().port;
+  };
+  // Wires one domain direction's data path: the origin's egress edge feeds
+  // the first hub (or the peer), each hub forwards to the next stage and
+  // stamps that stage's port tag, and the last edge delivers into
+  // `receiver`.
+  auto wire_segment = [&](const DagPlan::Segment& segment, Endpoint* receiver) {
+    sim::LinkChannel* into = channels[segment.egress_edge].get();
+    for (std::size_t k = 0; k < segment.hubs.size(); ++k) {
+      const DagPlan::HubStage& stage = segment.hubs[k];
+      switchdev::PortSwitch* const hub = hubs[stage.node].get();
+      into->set_receiver([hub](sim::FlitEnvelope&& envelope) {
+        hub->on_flit(std::move(envelope));
+      });
+      into = channels[stage.edge].get();
+      hub->set_output(stage.port, into,
+                      k + 1 < segment.hubs.size() ? segment.hubs[k + 1].port
+                                                  : std::uint16_t{0});
+    }
+    into->set_receiver([receiver](sim::FlitEnvelope&& envelope) {
+      receiver->on_flit(std::move(envelope));
+    });
+  };
+
   struct Domain {
     std::uint32_t rep = 0;
     Endpoint* a = nullptr;
@@ -952,39 +1018,18 @@ DagReport run_dag_fabric(const DagConfig& config) {
     }
 
     domain.a->set_output(domain.forward);
-    domain.a->set_dest_port(segment.hub_port);
+    domain.a->set_dest_port(first_hub_port(segment));
     domain.b->set_output(domain.reverse);
-    domain.b->set_dest_port(
-        paired ? plan.segments[*segment.mate].hub_port : std::uint16_t{0});
+    domain.b->set_dest_port(paired
+                                ? first_hub_port(plan.segments[*segment.mate])
+                                : std::uint16_t{0});
 
     Endpoint* const side_a = domain.a;
     Endpoint* const side_b = domain.b;
-    channels[segment.ingress_edge]->set_receiver(
-        [side_b](sim::FlitEnvelope&& envelope) {
-          side_b->on_flit(std::move(envelope));
-        });
-    if (segment.hub.has_value()) {
-      switchdev::PortSwitch* const hub = hubs[*segment.hub].get();
-      channels[segment.egress_edge]->set_receiver(
-          [hub](sim::FlitEnvelope&& envelope) {
-            hub->on_flit(std::move(envelope));
-          });
-      hub->set_output(segment.hub_port, channels[segment.ingress_edge].get());
-    }
+    wire_segment(segment, side_b);
     if (paired) {
       const DagPlan::Segment& mate = plan.segments[*segment.mate];
-      channels[mate.ingress_edge]->set_receiver(
-          [side_a](sim::FlitEnvelope&& envelope) {
-            side_a->on_flit(std::move(envelope));
-          });
-      if (mate.hub.has_value()) {
-        switchdev::PortSwitch* const hub = hubs[*mate.hub].get();
-        channels[mate.egress_edge]->set_receiver(
-            [hub](sim::FlitEnvelope&& envelope) {
-              hub->on_flit(std::move(envelope));
-            });
-        hub->set_output(mate.hub_port, channels[mate.ingress_edge].get());
-      }
+      wire_segment(mate, side_a);
       note_relay_edges(segment.origin, domain.rep,
                        mate.ingress_edge, segment.egress_edge);
       note_relay_edges(segment.peer, domain.rep,
@@ -1377,7 +1422,7 @@ DagReport run_dag_fabric(const DagConfig& config) {
     hop.node_b = segment.peer;
     hop.forward_edge = segment.egress_edge;
     hop.paired = segment.mate.has_value();
-    hop.crosses_hub = segment.hub.has_value();
+    hop.crosses_hub = !segment.hubs.empty();
     const Endpoint::Snapshot snap_a = domain.a->snapshot();
     const Endpoint::Snapshot snap_b = domain.b->snapshot();
     hop.a = snap_a.link;
@@ -1394,6 +1439,9 @@ DagReport run_dag_fabric(const DagConfig& config) {
     hop.reverse_channel = domain.reverse->snapshot();
     report.hops.push_back(hop);
   }
+  report.edge_channels.reserve(channels.size());
+  for (const auto& channel : channels)
+    report.edge_channels.push_back(channel->snapshot());
   for (std::size_t v = 0; v < node_count; ++v) {
     if (kind(v) == DagNodeKind::kRelay) {
       DagRelayReport relay_report;
@@ -1910,90 +1958,6 @@ DagConfig make_trunk_dag(const DagScenarioSpec& spec, std::size_t sources,
   DagConfig config = make_trunk_dag(spec, sources);
   apply_flow_classes(config, classes);
   return config;
-}
-
-// ---------------------------------------------------------------------------
-// The legacy star fabric as a one-hub DAG
-// ---------------------------------------------------------------------------
-
-DagConfig make_star_dag(const StarConfig& config) {
-  DagConfig dag;
-  dag.protocol = config.protocol;
-  dag.slot = config.slot;
-  dag.hub_latency = config.switch_latency;
-  dag.hub_internal_error_rate = config.switch_internal_error_rate;
-  dag.seed = config.seed;
-  dag.horizon = config.horizon;
-
-  const std::size_t n = config.pairs;
-  // Legacy seed draw order: down switch, up switch, then per pair the four
-  // channels (host uplink, device downlink, device uplink, host downlink).
-  // Replaying those draws as explicit seeds keeps a clean-hub run
-  // trajectory-identical to the deleted hard-coded star builder (pinned by
-  // the recorded-counter equivalence tests).
-  Xoshiro256 seeder(config.seed);
-  const std::uint64_t hub_seed = seeder();
-  (void)seeder();  // the legacy up-switch stream; the single hub has one
-
-  for (std::size_t i = 0; i < n; ++i) {
-    std::string name = "host";
-    name += std::to_string(i);
-    dag.nodes.push_back(DagNode{std::move(name), DagNodeKind::kTerminal, {}});
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    std::string name = "dev";
-    name += std::to_string(i);
-    dag.nodes.push_back(DagNode{std::move(name), DagNodeKind::kTerminal, {}});
-  }
-  const std::uint16_t hub = static_cast<std::uint16_t>(2 * n);
-  dag.nodes.push_back(DagNode{"hub", DagNodeKind::kHub, hub_seed});
-  // 2N terminals + the hub: keep validation permissive for large stars.
-  dag.max_ports = std::max<std::size_t>(dag.max_ports, 4 * n);
-
-  auto star_edge = [&](std::uint16_t src, std::uint16_t dst) {
-    DagEdge edge;
-    edge.src = src;
-    edge.dst = dst;
-    edge.ber = config.ber;
-    edge.burst_injection_rate = config.burst_injection_rate;
-    edge.burst_symbols = config.burst_symbols;
-    edge.latency = config.propagation_latency;
-    edge.seed = seeder();
-    return edge;
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint16_t host = static_cast<std::uint16_t>(i);
-    const std::uint16_t device = static_cast<std::uint16_t>(n + i);
-    dag.edges.push_back(star_edge(host, hub));    // host uplink
-    dag.edges.push_back(star_edge(hub, device));  // device downlink
-    dag.edges.push_back(star_edge(device, hub));  // device uplink
-    dag.edges.push_back(star_edge(hub, host));    // host downlink
-  }
-  for (std::size_t i = 0; i < n; ++i)
-    dag.flows.push_back(DagFlow{static_cast<std::uint16_t>(i),
-                                static_cast<std::uint16_t>(n + i),
-                                config.flits_per_direction, 0xD000 + i});
-  for (std::size_t i = 0; i < n; ++i)
-    dag.flows.push_back(DagFlow{static_cast<std::uint16_t>(n + i),
-                                static_cast<std::uint16_t>(i),
-                                config.flits_per_direction, 0xB000 + i});
-  return dag;
-}
-
-StarReport run_star_fabric_via_dag(const StarConfig& config) {
-  const DagReport dag = run_dag_fabric(make_star_dag(config));
-  StarReport report;
-  report.slots = config.slot > 0
-                     ? static_cast<std::uint64_t>(config.horizon / config.slot)
-                     : 0;
-  const std::size_t n = config.pairs;
-  report.pairs.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    report.pairs[i].downstream = dag.flows[i].scoreboard;
-    report.pairs[i].upstream = dag.flows[n + i].scoreboard;
-  }
-  if (!dag.hubs.empty()) report.hub = dag.hubs.front().stats;
-  return report;
 }
 
 }  // namespace rxl::transport

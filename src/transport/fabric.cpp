@@ -1,154 +1,119 @@
 #include "rxl/transport/fabric.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <utility>
 
-#include "rxl/common/bytes.hpp"
-#include "rxl/phy/error_model.hpp"
-#include "rxl/sim/event_queue.hpp"
+#include "rxl/common/rng.hpp"
 
 namespace rxl::transport {
 namespace {
 
-std::unique_ptr<phy::ErrorModel> make_channel_errors(
-    const FabricConfig& config) {
-  std::vector<std::unique_ptr<phy::ErrorModel>> models;
-  if (config.ber > 0.0)
-    models.push_back(std::make_unique<phy::IndependentBitErrors>(config.ber));
-  if (config.burst_injection_rate > 0.0) {
-    models.push_back(std::make_unique<phy::BernoulliGate>(
-        config.burst_injection_rate,
-        std::make_unique<phy::SymbolBurstInjector>(config.burst_symbols)));
-  }
-  if (models.empty()) return std::make_unique<phy::NoErrors>();
-  if (models.size() == 1) return std::move(models.front());
-  return std::make_unique<phy::CompositeErrorModel>(std::move(models));
+/// Fabric-wide DagConfig fields shared by FabricConfig and StarConfig.
+template <typename Scenario>
+DagConfig base_dag(const Scenario& config) {
+  DagConfig dag;
+  dag.protocol = config.protocol;
+  dag.slot = config.slot;
+  dag.hub_latency = config.switch_latency;
+  dag.hub_internal_error_rate = config.switch_internal_error_rate;
+  dag.seed = config.seed;
+  dag.horizon = config.horizon;
+  return dag;
 }
 
-/// Deterministic payload for stream position `index`.
-std::vector<std::uint8_t> make_payload(std::uint64_t index,
-                                       std::uint64_t direction_salt) {
-  std::vector<std::uint8_t> payload(kPayloadBytes, 0);
-  Xoshiro256 rng(index * 0x9E3779B97F4A7C15ull + direction_salt);
-  for (std::size_t i = 8; i < payload.size(); i += 8)
-    store_le64(payload, i, rng());
-  store_le64(payload, 0, index);
-  return payload;
-}
-
-/// One direction of the fabric: TX endpoint -> L+1 channels / L switches ->
-/// RX endpoint.
-struct Direction {
-  std::vector<std::unique_ptr<sim::LinkChannel>> channels;
-  std::vector<std::unique_ptr<switchdev::SwitchDevice>> switches;
-  txn::StreamScoreboard scoreboard;
-};
-
-void build_direction(sim::EventQueue& queue, const FabricConfig& config,
-                     Direction& direction, Endpoint& tx, Endpoint& rx,
-                     Xoshiro256& seeder) {
-  const unsigned hops = config.switch_levels + 1;
-  direction.channels.reserve(hops);
-  direction.switches.reserve(config.switch_levels);
-  for (unsigned hop = 0; hop < hops; ++hop) {
-    direction.channels.push_back(std::make_unique<sim::LinkChannel>(
-        queue, make_channel_errors(config), seeder(), config.slot,
-        config.propagation_latency));
-  }
-  for (unsigned level = 0; level < config.switch_levels; ++level) {
-    switchdev::SwitchDevice::Config sw;
-    sw.protocol = config.protocol.protocol;
-    sw.internal_error_rate = config.switch_internal_error_rate;
-    sw.forward_latency = config.switch_latency;
-    direction.switches.push_back(
-        std::make_unique<switchdev::SwitchDevice>(queue, sw, seeder()));
-  }
-  // Wire: tx -> chan[0] -> sw[0] -> chan[1] -> ... -> chan[L] -> rx.
-  tx.set_output(direction.channels.front().get());
-  for (unsigned level = 0; level < config.switch_levels; ++level) {
-    switchdev::SwitchDevice* sw = direction.switches[level].get();
-    direction.channels[level]->set_receiver(
-        [sw](sim::FlitEnvelope&& envelope) { sw->on_flit(std::move(envelope)); });
-    sw->set_output(direction.channels[level + 1].get());
-  }
-  direction.channels.back()->set_receiver(
-      [&rx](sim::FlitEnvelope&& envelope) { rx.on_flit(std::move(envelope)); });
-}
-
-void attach_traffic(Endpoint& tx, Endpoint& rx, Direction& direction,
-                    std::uint64_t flit_budget, std::uint64_t direction_salt) {
-  txn::StreamScoreboard* scoreboard = &direction.scoreboard;
-  tx.set_source([scoreboard, flit_budget, direction_salt](
-                    std::uint64_t index) -> std::optional<std::vector<std::uint8_t>> {
-    if (index >= flit_budget) return std::nullopt;
-    std::vector<std::uint8_t> payload = make_payload(index, direction_salt);
-    scoreboard->register_sent(index, payload);
-    return payload;
-  });
-  rx.set_deliver([scoreboard](std::span<const std::uint8_t> payload,
-                              const sim::FlitEnvelope& envelope) {
-    scoreboard->on_deliver(payload, envelope);
-  });
-}
-
-DirectionReport report_direction(const FabricConfig& config,
-                                 const Direction& direction,
-                                 const Endpoint& tx, const Endpoint& rx,
-                                 std::uint64_t slots) {
-  DirectionReport report;
-  report.tx = tx.stats();
-  report.rx = rx.stats();
-  report.tx_extra = tx.extra_stats();
-  report.rx_extra = rx.extra_stats();
-  report.scoreboard = direction.scoreboard.finalize();
-  for (const auto& sw : direction.switches) {
-    report.switch_dropped_fec += sw->stats().dropped_fec;
-    report.switch_dropped_crc += sw->stats().dropped_crc;
-    report.switch_fec_corrected += sw->stats().fec_corrected;
-    report.switch_internal_corruptions += sw->stats().internal_corruptions;
-  }
-  for (const auto& channel : direction.channels)
-    report.channel_flits_corrupted += channel->stats().flits_corrupted;
-  if (slots > 0) {
-    report.goodput = static_cast<double>(report.scoreboard.in_order) /
-                     static_cast<double>(slots);
-    report.bandwidth_loss = 1.0 - report.goodput;
-  }
-  (void)config;
-  return report;
+/// One wire with the scenario's uniform error process and an explicit,
+/// replayed channel seed.
+template <typename Scenario>
+DagEdge scenario_wire(const Scenario& config, std::uint16_t src,
+                      std::uint16_t dst, std::uint64_t seed) {
+  DagEdge edge;
+  edge.src = src;
+  edge.dst = dst;
+  edge.ber = config.ber;
+  edge.burst_injection_rate = config.burst_injection_rate;
+  edge.burst_symbols = config.burst_symbols;
+  edge.latency = config.propagation_latency;
+  edge.seed = seed;
+  return edge;
 }
 
 }  // namespace
 
+// ---------------------------------------------------------------------------
+// host <-> N switch levels <-> device
+// ---------------------------------------------------------------------------
+
+DagConfig make_level_dag(const FabricConfig& config) {
+  DagConfig dag = base_dag(config);
+  dag.nodes.push_back(DagNode{"host", DagNodeKind::kTerminal, {}});
+  dag.nodes.push_back(DagNode{"device", DagNodeKind::kTerminal, {}});
+  const unsigned levels = config.switch_levels;
+  Xoshiro256 seeder(config.seed);
+  // One direction: its L+1 wires (seeds drawn first), then its L switches,
+  // chained from -> sw[0] -> ... -> sw[L-1] -> to.
+  auto add_direction = [&](std::uint16_t from, std::uint16_t to,
+                           const char* prefix) {
+    const std::uint16_t first = static_cast<std::uint16_t>(dag.nodes.size());
+    for (unsigned hop = 0; hop <= levels; ++hop) {
+      const std::uint16_t src =
+          hop == 0 ? from : static_cast<std::uint16_t>(first + hop - 1);
+      const std::uint16_t dst =
+          hop == levels ? to : static_cast<std::uint16_t>(first + hop);
+      dag.edges.push_back(scenario_wire(config, src, dst, seeder()));
+    }
+    for (unsigned level = 0; level < levels; ++level) {
+      std::string name = prefix;
+      name += std::to_string(level);
+      dag.nodes.push_back(
+          DagNode{std::move(name), DagNodeKind::kHub, seeder()});
+    }
+  };
+  add_direction(0, 1, "down_sw");
+  add_direction(1, 0, "up_sw");
+  dag.flows.push_back(DagFlow{0, 1, config.downstream_flits, 0x00D0});
+  dag.flows.push_back(DagFlow{1, 0, config.upstream_flits, 0x0B0B});
+  return dag;
+}
+
 FabricReport run_fabric(const FabricConfig& config) {
   assert(config.horizon > 0);
-  sim::EventQueue queue;
-  Xoshiro256 seeder(config.seed);
-
-  Endpoint host(queue, config.protocol, "host");
-  Endpoint device(queue, config.protocol, "device");
-
-  Direction downstream;
-  Direction upstream;
-  build_direction(queue, config, downstream, host, device, seeder);
-  build_direction(queue, config, upstream, device, host, seeder);
-
-  attach_traffic(host, device, downstream, config.downstream_flits,
-                 /*direction_salt=*/0x00D0);
-  attach_traffic(device, host, upstream, config.upstream_flits,
-                 /*direction_salt=*/0x0B0Bu);
-
-  host.kick();
-  device.kick();
-  queue.run_until(config.horizon);
-
+  const DagReport dag = run_dag_fabric(make_level_dag(config));
   FabricReport report;
   report.horizon = config.horizon;
   report.slots = config.horizon / config.slot;
-  report.downstream =
-      report_direction(config, downstream, host, device, report.slots);
-  report.upstream =
-      report_direction(config, upstream, device, host, report.slots);
+  // The two directions pair into one bidirectional domain whose side a is
+  // the host (flow 0's segment comes first).
+  assert(dag.hops.size() == 1);
+  const DagLinkStats& hop = dag.hops.front();
+  const unsigned levels = config.switch_levels;
+  auto direction = [&](bool down) {
+    DirectionReport d;
+    d.tx = down ? hop.a : hop.b;
+    d.rx = down ? hop.b : hop.a;
+    d.tx_extra = down ? hop.a_extra : hop.b_extra;
+    d.rx_extra = down ? hop.b_extra : hop.a_extra;
+    d.scoreboard = dag.flows[down ? 0 : 1].scoreboard;
+    for (const DagHubReport& hub : dag.hubs) {
+      if ((hub.node < 2 + levels) != down) continue;
+      d.switch_dropped_fec += hub.stats.dropped_fec;
+      d.switch_dropped_crc += hub.stats.dropped_crc;
+      d.switch_fec_corrected += hub.stats.fec_corrected;
+      d.switch_internal_corruptions += hub.stats.internal_corruptions;
+    }
+    const std::size_t first_edge = down ? 0 : levels + 1;
+    for (std::size_t e = first_edge; e <= first_edge + levels; ++e)
+      d.channel_flits_corrupted += dag.edge_channels[e].flits_corrupted;
+    if (report.slots > 0) {
+      d.goodput = static_cast<double>(d.scoreboard.in_order) /
+                  static_cast<double>(report.slots);
+      d.bandwidth_loss = 1.0 - d.goodput;
+    }
+    return d;
+  };
+  report.downstream = direction(true);
+  report.upstream = direction(false);
   return report;
 }
 
@@ -172,6 +137,93 @@ std::string summarize(const FabricReport& report) {
       static_cast<unsigned long long>(report.downstream.switch_dropped_fec),
       static_cast<unsigned long long>(report.upstream.switch_dropped_fec));
   return buf;
+}
+
+// ---------------------------------------------------------------------------
+// The scale-out star: N pairs around one hub
+// ---------------------------------------------------------------------------
+
+DagConfig make_star_dag(const StarConfig& config) {
+  DagConfig dag = base_dag(config);
+  const std::size_t n = config.pairs;
+  // Seed draw order of the hand-wired star builder: down switch, up switch,
+  // then per pair the four channels (host uplink, device downlink, device
+  // uplink, host downlink).
+  Xoshiro256 seeder(config.seed);
+  const std::uint64_t hub_seed = seeder();
+  (void)seeder();  // the old up-switch stream; the single hub has one
+
+  for (std::size_t i = 0; i < n; ++i) {
+    std::string name = "host";
+    name += std::to_string(i);
+    dag.nodes.push_back(DagNode{std::move(name), DagNodeKind::kTerminal, {}});
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    std::string name = "dev";
+    name += std::to_string(i);
+    dag.nodes.push_back(DagNode{std::move(name), DagNodeKind::kTerminal, {}});
+  }
+  const std::uint16_t hub = static_cast<std::uint16_t>(2 * n);
+  dag.nodes.push_back(DagNode{"hub", DagNodeKind::kHub, hub_seed});
+  // 2N terminals + the hub: keep validation permissive for large stars.
+  dag.max_ports = std::max<std::size_t>(dag.max_ports, 4 * n);
+
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint16_t host = static_cast<std::uint16_t>(i);
+    const std::uint16_t device = static_cast<std::uint16_t>(n + i);
+    dag.edges.push_back(scenario_wire(config, host, hub, seeder()));
+    dag.edges.push_back(scenario_wire(config, hub, device, seeder()));
+    dag.edges.push_back(scenario_wire(config, device, hub, seeder()));
+    dag.edges.push_back(scenario_wire(config, hub, host, seeder()));
+  }
+  for (std::size_t i = 0; i < n; ++i)
+    dag.flows.push_back(DagFlow{static_cast<std::uint16_t>(i),
+                                static_cast<std::uint16_t>(n + i),
+                                config.flits_per_direction, 0xD000 + i});
+  for (std::size_t i = 0; i < n; ++i)
+    dag.flows.push_back(DagFlow{static_cast<std::uint16_t>(n + i),
+                                static_cast<std::uint16_t>(i),
+                                config.flits_per_direction, 0xB000 + i});
+  return dag;
+}
+
+StarReport run_star_fabric_via_dag(const StarConfig& config) {
+  const DagReport dag = run_dag_fabric(make_star_dag(config));
+  StarReport report;
+  report.slots = config.slot > 0
+                     ? static_cast<std::uint64_t>(config.horizon / config.slot)
+                     : 0;
+  const std::size_t n = config.pairs;
+  report.pairs.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    report.pairs[i].downstream = dag.flows[i].scoreboard;
+    report.pairs[i].upstream = dag.flows[n + i].scoreboard;
+  }
+  if (!dag.hubs.empty()) report.hub = dag.hubs.front().stats;
+  return report;
+}
+
+std::uint64_t StarReport::total_order_failures() const {
+  std::uint64_t total = 0;
+  for (const PairReport& pair : pairs) {
+    total += pair.downstream.order_violations + pair.downstream.duplicates;
+    total += pair.upstream.order_violations + pair.upstream.duplicates;
+  }
+  return total;
+}
+
+std::uint64_t StarReport::total_missing() const {
+  std::uint64_t total = 0;
+  for (const PairReport& pair : pairs)
+    total += pair.downstream.missing + pair.upstream.missing;
+  return total;
+}
+
+std::uint64_t StarReport::total_in_order() const {
+  std::uint64_t total = 0;
+  for (const PairReport& pair : pairs)
+    total += pair.downstream.in_order + pair.upstream.in_order;
+  return total;
 }
 
 }  // namespace rxl::transport

@@ -9,7 +9,7 @@
 
 #include "rxl/link/credit.hpp"
 #include "rxl/sim/trial_runner.hpp"
-#include "rxl/transport/star_fabric.hpp"
+#include "rxl/transport/fabric.hpp"
 
 namespace rxl::transport {
 namespace {
@@ -154,19 +154,26 @@ TEST(DagFabric, RejectsDomainsMultiplexedOnOneHubEgress) {
   config.flows.push_back(DagFlow{0, 3, 10, 1});
   config.flows.push_back(DagFlow{1, 3, 10, 2});
   EXPECT_THROW(plan_dag(config), std::invalid_argument);
-}
 
-TEST(DagFabric, RejectsAdjacentHubs) {
-  DagConfig config;
-  config.nodes.push_back(DagNode{"s", DagNodeKind::kTerminal, {}});
-  config.nodes.push_back(DagNode{"hub0", DagNodeKind::kHub, {}});
-  config.nodes.push_back(DagNode{"hub1", DagNodeKind::kHub, {}});
-  config.nodes.push_back(DagNode{"d", DagNodeKind::kTerminal, {}});
-  config.edges.push_back(plain_edge(0, 1));
-  config.edges.push_back(plain_edge(1, 2));
-  config.edges.push_back(plain_edge(2, 3));
-  config.flows.push_back(DagFlow{0, 3, 10, 1});
-  EXPECT_THROW(plan_dag(config), std::invalid_argument);
+  // The same holds for every edge after a domain's first hub: two sources
+  // that enter a chain on their own hub ports but share the hub0 -> hub1
+  // edge are refused, while one domain alone may own the chain.
+  DagConfig chain;
+  chain.nodes.push_back(DagNode{"s0", DagNodeKind::kTerminal, {}});
+  chain.nodes.push_back(DagNode{"s1", DagNodeKind::kTerminal, {}});
+  chain.nodes.push_back(DagNode{"hub0", DagNodeKind::kHub, {}});
+  chain.nodes.push_back(DagNode{"hub1", DagNodeKind::kHub, {}});
+  chain.nodes.push_back(DagNode{"d0", DagNodeKind::kTerminal, {}});
+  chain.nodes.push_back(DagNode{"d1", DagNodeKind::kTerminal, {}});
+  chain.edges.push_back(plain_edge(0, 2));
+  chain.edges.push_back(plain_edge(1, 2));
+  chain.edges.push_back(plain_edge(2, 3));
+  chain.edges.push_back(plain_edge(3, 4));
+  chain.edges.push_back(plain_edge(3, 5));
+  chain.flows.push_back(DagFlow{0, 4, 10, 1});
+  EXPECT_NO_THROW(plan_dag(chain));
+  chain.flows.push_back(DagFlow{1, 5, 10, 2});
+  EXPECT_THROW(plan_dag(chain), std::invalid_argument);
 }
 
 TEST(DagFabric, RejectsZeroCreditEdge) {
@@ -220,6 +227,27 @@ TEST(DagFabric, RejectsCxlCreditsAcrossTransparentHubs) {
   chain.protocol.protocol = Protocol::kCxl;
   chain.hop_credits = 4;
   EXPECT_NO_THROW(plan_dag(chain));
+  // The leak does not depend on which hub drops: a CXL domain spliced
+  // through a two-hub chain is refused as through a single hub, and the
+  // chain's inner edge never terminates a hop.
+  FabricConfig fabric;
+  fabric.protocol.protocol = Protocol::kCxl;
+  fabric.switch_levels = 2;
+  fabric.horizon = 1'000'000;
+  DagConfig levels = make_level_dag(fabric);
+  levels.hop_credits = 4;
+  EXPECT_THROW(plan_dag(levels), std::invalid_argument);
+  levels.hop_credits = 0;
+  EXPECT_NO_THROW(plan_dag(levels));
+  levels.edges[2].credits = 4;  // the chain's final edge, into the device
+  EXPECT_THROW(plan_dag(levels), std::invalid_argument);
+  levels.edges[2].credits.reset();
+  levels.edges[1].credits = 4;  // hub0 -> hub1
+  EXPECT_THROW(plan_dag(levels), std::invalid_argument);
+  levels.edges[1].credits.reset();
+  levels.protocol.protocol = Protocol::kRxl;
+  levels.hop_credits = 4;
+  EXPECT_NO_THROW(plan_dag(levels));
 }
 
 TEST(DagFabric, RejectsOversizedCreditWindows) {
@@ -242,7 +270,7 @@ TEST(DagFabric, ChainPlanIsOneDomainPerHop) {
   const DagPlan plan = plan_dag(config);
   ASSERT_EQ(plan.segments.size(), 4u);  // src-r1, r1-r2, r2-r3, r3-dst
   for (const DagPlan::Segment& segment : plan.segments) {
-    EXPECT_FALSE(segment.hub.has_value());
+    EXPECT_TRUE(segment.hubs.empty());
     EXPECT_FALSE(segment.mate.has_value());
     EXPECT_EQ(segment.egress_edge, segment.ingress_edge);
   }
@@ -274,9 +302,90 @@ TEST(DagFabric, StarPlanPairsEveryDomainThroughTheHub) {
   const DagPlan plan = plan_dag(config);
   ASSERT_EQ(plan.segments.size(), 6u);  // one per direction per pair
   for (const DagPlan::Segment& segment : plan.segments) {
-    EXPECT_TRUE(segment.hub.has_value());
+    ASSERT_EQ(segment.hubs.size(), 1u);
+    EXPECT_EQ(segment.hubs.front().node, 6u);
+    EXPECT_EQ(segment.hubs.front().edge, segment.ingress_edge);
     EXPECT_TRUE(segment.mate.has_value());
   }
+}
+
+TEST(DagFabric, HubChainPlanPinsHubListAndStagePorts) {
+  // The paper's two-level fabric: one hub chain per direction. Each
+  // direction is one segment whose hub list names both switches with the
+  // edge each stage drives, and the two directions pair into one
+  // bidirectional domain although they cross different hubs.
+  FabricConfig fabric;
+  fabric.switch_levels = 2;
+  fabric.horizon = 1'000'000;
+  const DagPlan plan = plan_dag(make_level_dag(fabric));
+  ASSERT_EQ(plan.segments.size(), 2u);
+  const DagPlan::Segment& down = plan.segments[0];
+  EXPECT_EQ(down.origin, 0u);
+  EXPECT_EQ(down.peer, 1u);
+  EXPECT_EQ(down.egress_edge, 0u);
+  EXPECT_EQ(down.ingress_edge, 2u);
+  ASSERT_EQ(down.hubs.size(), 2u);
+  EXPECT_EQ(down.hubs[0].node, 2u);
+  EXPECT_EQ(down.hubs[0].edge, 1u);
+  EXPECT_EQ(down.hubs[1].node, 3u);
+  EXPECT_EQ(down.hubs[1].edge, 2u);
+  const DagPlan::Segment& up = plan.segments[1];
+  EXPECT_EQ(up.origin, 1u);
+  EXPECT_EQ(up.peer, 0u);
+  EXPECT_EQ(up.egress_edge, 3u);
+  EXPECT_EQ(up.ingress_edge, 5u);
+  ASSERT_EQ(up.hubs.size(), 2u);
+  EXPECT_EQ(up.hubs[0].node, 4u);
+  EXPECT_EQ(up.hubs[1].node, 5u);
+  EXPECT_EQ(down.mate, std::optional<std::uint32_t>{1});
+  EXPECT_EQ(up.mate, std::optional<std::uint32_t>{0});
+
+  // Per-stage ports follow each hub's own out-edge order. Decoy edges put
+  // the chain on hub0's port 1 and hub1's port 2, so a tag that was not
+  // rewritten between stages would send hub1's traffic to the decoy z.
+  DagConfig config;
+  config.nodes.push_back(DagNode{"s", DagNodeKind::kTerminal, {}});     // 0
+  config.nodes.push_back(DagNode{"hub0", DagNodeKind::kHub, {}});       // 1
+  config.nodes.push_back(DagNode{"hub1", DagNodeKind::kHub, {}});       // 2
+  config.nodes.push_back(DagNode{"d", DagNodeKind::kTerminal, {}});     // 3
+  config.nodes.push_back(DagNode{"x", DagNodeKind::kTerminal, {}});     // 4
+  config.nodes.push_back(DagNode{"y", DagNodeKind::kTerminal, {}});     // 5
+  config.nodes.push_back(DagNode{"z", DagNodeKind::kTerminal, {}});     // 6
+  config.edges.push_back(plain_edge(0, 1));  // e0
+  config.edges.push_back(plain_edge(1, 4));  // e1: hub0 port 0
+  config.edges.push_back(plain_edge(1, 2));  // e2: hub0 port 1
+  config.edges.push_back(plain_edge(2, 5));  // e3: hub1 port 0
+  config.edges.push_back(plain_edge(2, 6));  // e4: hub1 port 1
+  config.edges.push_back(plain_edge(2, 3));  // e5: hub1 port 2
+  config.flows.push_back(DagFlow{0, 3, 300, 0x5C});
+  config.horizon = 20'000'000;
+  const DagPlan chain = plan_dag(config);
+  ASSERT_EQ(chain.segments.size(), 1u);
+  const DagPlan::Segment& segment = chain.segments[0];
+  ASSERT_EQ(segment.hubs.size(), 2u);
+  EXPECT_EQ(segment.hubs[0].node, 1u);
+  EXPECT_EQ(segment.hubs[0].port, 1u);
+  EXPECT_EQ(segment.hubs[0].edge, 2u);
+  EXPECT_EQ(segment.hubs[1].node, 2u);
+  EXPECT_EQ(segment.hubs[1].port, 2u);
+  EXPECT_EQ(segment.hubs[1].edge, 5u);
+  EXPECT_FALSE(segment.mate.has_value());
+
+  const DagReport report = run_dag_fabric(config);
+  EXPECT_EQ(report.flows[0].scoreboard.in_order, 300u);
+  EXPECT_EQ(report.misrouted, 0u);
+  ASSERT_EQ(report.hubs.size(), 2u);
+  for (const DagHubReport& hub : report.hubs) {
+    EXPECT_EQ(hub.stats.dropped_no_route, 0u);
+    EXPECT_EQ(hub.stats.flits_forwarded, hub.stats.flits_in);
+  }
+  // Every wire's counters are reported, the chain's inner wires included.
+  ASSERT_EQ(report.edge_channels.size(), config.edges.size());
+  EXPECT_EQ(report.edge_channels[2].flits_carried,
+            report.edge_channels[0].flits_carried);
+  EXPECT_EQ(report.edge_channels[5].flits_carried,
+            report.edge_channels[0].flits_carried);
+  EXPECT_EQ(report.edge_channels[4].flits_carried, 0u);
 }
 
 // --------------------------------------------------------------------------

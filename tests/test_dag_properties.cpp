@@ -20,6 +20,48 @@ struct Universe {
   const char* family = "";
 };
 
+/// Host <-> device through one switch chain per direction, each switch a
+/// transparent hub or a relay at random: a run of hubs splices one ISN
+/// domain through a hub chain, and a relay ends it. When both chains are
+/// all hubs, the two directions pair into one bidirectional domain.
+DagConfig make_mixed_chain_dag(const DagScenarioSpec& spec, Xoshiro256& rng) {
+  DagConfig config;
+  config.protocol = spec.protocol;
+  config.seed = spec.seed;
+  config.horizon = spec.horizon;
+  config.nodes.push_back(DagNode{"host", DagNodeKind::kTerminal, {}});
+  config.nodes.push_back(DagNode{"device", DagNodeKind::kTerminal, {}});
+  auto add_chain = [&](std::uint16_t from, std::uint16_t to) {
+    const std::size_t switches = 1 + rng.bounded(4);
+    std::uint16_t at = from;
+    for (std::size_t i = 0; i <= switches; ++i) {
+      std::uint16_t next = to;
+      if (i < switches) {
+        next = static_cast<std::uint16_t>(config.nodes.size());
+        const DagNodeKind kind =
+            rng.bounded(2) == 0 ? DagNodeKind::kHub : DagNodeKind::kRelay;
+        std::string name = "sw";
+        name += std::to_string(next);
+        config.nodes.push_back(DagNode{std::move(name), kind, {}});
+      }
+      DagEdge edge;
+      edge.src = at;
+      edge.dst = next;
+      edge.ber = spec.ber;
+      edge.burst_injection_rate = spec.burst_injection_rate;
+      edge.burst_symbols = spec.burst_symbols;
+      edge.latency = spec.latency;
+      config.edges.push_back(edge);
+      at = next;
+    }
+  };
+  add_chain(0, 1);
+  add_chain(1, 0);
+  config.flows.push_back(DagFlow{0, 1, spec.flits_per_flow, 0x6C0});
+  config.flows.push_back(DagFlow{1, 0, spec.flits_per_flow, 0x6C1});
+  return config;
+}
+
 Universe random_universe(std::uint64_t gen_seed) {
   Xoshiro256 rng(gen_seed);
   DagScenarioSpec spec;
@@ -35,7 +77,7 @@ Universe random_universe(std::uint64_t gen_seed) {
   spec.horizon = 200'000'000;  // 200 us: generous for every family below
 
   Universe universe;
-  switch (rng.bounded(4)) {
+  switch (rng.bounded(5)) {
     case 0: {
       const std::size_t relays = 1 + rng.bounded(6);
       universe.config = make_chain_dag(spec, relays);
@@ -50,9 +92,13 @@ Universe random_universe(std::uint64_t gen_seed) {
       universe.config = make_fat_tree_dag(spec);
       universe.family = "fat-tree";
       break;
-    default:
+    case 3:
       universe.config = make_asymmetric_dag(spec);
       universe.family = "asymmetric";
+      break;
+    default:
+      universe.config = make_mixed_chain_dag(spec, rng);
+      universe.family = "hub-chain";
       break;
   }
   // A quarter of the universes get one extra-noisy edge: localized retry

@@ -1,10 +1,18 @@
 // Full-fabric integration: statistical validation of the paper's claims at
 // inflated error rates (the benches sweep these; tests pin the qualitative
-// results).
+// results), plus the field-for-field equivalence of the DAG-backed
+// run_fabric with the hand-wired builder it replaced.
 #include "rxl/transport/fabric.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "rxl/obs/metrics.hpp"
 #include "rxl/sim/trial_runner.hpp"
 
 namespace rxl::transport {
@@ -172,6 +180,115 @@ TEST(Fabric, SummaryMentionsKeyCounters) {
   const std::string text = summarize(report);
   EXPECT_NE(text.find("in-order"), std::string::npos);
   EXPECT_NE(text.find("downstream"), std::string::npos);
+}
+
+// --------------------------------------------------------------------------
+// Equivalence with the hand-wired builder
+// --------------------------------------------------------------------------
+
+/// One recorded configuration: L switch levels, a protocol, an error mix.
+struct LevelCase {
+  unsigned levels;
+  Protocol protocol;
+  int errors;  ///< 0 clean, 1 burst+BER, 2 switch internal corruption
+  std::uint64_t upstream_flits;
+};
+
+std::string case_name(const LevelCase& c) {
+  std::string name = "L";
+  name += std::to_string(c.levels);
+  name += c.protocol == Protocol::kCxl ? ".cxl" : ".rxl";
+  name += c.errors == 0 ? ".clean" : c.errors == 1 ? ".burst+ber" : ".internal";
+  if (c.upstream_flits == 0) name += ".no-upstream";
+  return name;
+}
+
+FabricConfig case_config(const LevelCase& c) {
+  FabricConfig config;
+  config.protocol.protocol = c.protocol;
+  config.protocol.coalesce_factor = 10;
+  config.switch_levels = c.levels;
+  if (c.errors == 1) {
+    config.ber = 2e-5;
+    config.burst_injection_rate = 4e-3;
+  } else if (c.errors == 2) {
+    config.switch_internal_error_rate = 2e-3;
+  }
+  config.seed = 0x1E7E1 + c.levels;
+  config.downstream_flits = 5'000;
+  config.upstream_flits = c.upstream_flits;
+  config.horizon = 8'000'000;  // 8 us = 4000 slots: saturating, part drained
+  return config;
+}
+
+std::vector<LevelCase> level_cases() {
+  std::vector<LevelCase> cases;
+  for (const unsigned levels : {0u, 1u, 2u, 4u})
+    for (const Protocol protocol : {Protocol::kRxl, Protocol::kCxl})
+      for (const int errors : {0, 1, 2})
+        cases.push_back(LevelCase{levels, protocol, errors, 5'000});
+  cases.push_back(LevelCase{2, Protocol::kCxl, 1, 0});
+  return cases;
+}
+
+/// Every FabricReport field, in a fixed order (doubles by their bits).
+obs::MetricsRegistry fabric_fields(const FabricReport& report) {
+  obs::MetricsRegistry fields;
+  for (const bool down : {true, false}) {
+    const DirectionReport& d = down ? report.downstream : report.upstream;
+    const std::string prefix = down ? "down" : "up";
+    fields.add_endpoint(prefix + ".tx", d.tx);
+    fields.add_endpoint(prefix + ".rx", d.rx);
+    fields.add_endpoint_extra(prefix + ".tx", d.tx_extra);
+    fields.add_endpoint_extra(prefix + ".rx", d.rx_extra);
+    fields.add_scoreboard(prefix, d.scoreboard);
+    fields.add(prefix + ".switch_dropped_fec", d.switch_dropped_fec);
+    fields.add(prefix + ".switch_dropped_crc", d.switch_dropped_crc);
+    fields.add(prefix + ".switch_fec_corrected", d.switch_fec_corrected);
+    fields.add(prefix + ".switch_internal_corruptions",
+               d.switch_internal_corruptions);
+    fields.add(prefix + ".channel_flits_corrupted", d.channel_flits_corrupted);
+    fields.add(prefix + ".goodput_bits",
+               std::bit_cast<std::uint64_t>(d.goodput));
+    fields.add(prefix + ".bandwidth_loss_bits",
+               std::bit_cast<std::uint64_t>(d.bandwidth_loss));
+  }
+  fields.add("horizon", report.horizon);
+  fields.add("slots", report.slots);
+  return fields;
+}
+
+TEST(Fabric, DagBackedRunMatchesRecordedHandWiredBuilder) {
+  // tests/data/fabric_level_legacy.txt holds these cases' counters as the
+  // hand-wired builder (two per-direction chains of single-port switch
+  // devices) produced them. The DAG-backed run replays its seed draws, so
+  // every field must match: 0, 1, 2 and 4 switch levels, RXL and CXL,
+  // clean links, burst+BER links, switch internal corruption, and a
+  // direction that offers nothing.
+  std::ifstream file(RXL_TEST_DATA_DIR "/fabric_level_legacy.txt");
+  ASSERT_TRUE(file.is_open());
+  std::vector<std::string> recorded;
+  for (std::string line; std::getline(file, line);)
+    if (!line.empty() && line[0] != '#') recorded.push_back(line);
+  const std::vector<LevelCase> cases = level_cases();
+  ASSERT_EQ(recorded.size(), cases.size());
+  const auto reports = sim::run_trials(cases.size(), [&](std::size_t i) {
+    return run_fabric(case_config(cases[i]));
+  });
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    std::istringstream line(recorded[i]);
+    std::string name;
+    line >> name;
+    ASSERT_EQ(name, case_name(cases[i]));
+    const obs::MetricsRegistry fields = fabric_fields(reports[i]);
+    for (const obs::Metric& field : fields.metrics()) {
+      std::uint64_t expected = 0;
+      ASSERT_TRUE(line >> expected) << name << " ends before " << field.name;
+      EXPECT_EQ(field.value, expected) << name << " " << field.name;
+    }
+    std::string extra;
+    EXPECT_FALSE(line >> extra) << name << " has unread recorded fields";
+  }
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 #include "rxl/sim/trial_runner.hpp"
 #include "rxl/switchdev/port_switch.hpp"
 #include "rxl/transport/dag_fabric.hpp"
-#include "rxl/transport/star_fabric.hpp"
+#include "rxl/transport/fabric.hpp"
 
 namespace rxl::transport {
 namespace {

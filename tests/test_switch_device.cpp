@@ -1,6 +1,8 @@
-// Switch behaviour: FEC correct/drop, CRC handling per protocol, internal
-// corruption semantics (the §6.3/§6.4 distinction).
-#include "rxl/switchdev/switch_device.hpp"
+// One switching-device stage (a PortSwitch with ports = 1, as each level of
+// the host <-> N-switch <-> device fabric uses it): FEC correct/drop, CRC
+// handling per protocol, internal corruption semantics (the §6.3/§6.4
+// distinction).
+#include "rxl/switchdev/port_switch.hpp"
 
 #include <gtest/gtest.h>
 
@@ -15,18 +17,24 @@ namespace {
 using transport::FlitCodec;
 using transport::Protocol;
 
+PortSwitch::Config stage_config() {
+  PortSwitch::Config config;
+  config.ports = 1;
+  return config;
+}
+
 struct Harness {
   sim::EventQueue queue;
-  std::optional<SwitchDevice> sw;
+  std::optional<PortSwitch> sw;
   std::optional<sim::LinkChannel> out;
   std::vector<sim::FlitEnvelope> received;
 
-  explicit Harness(const SwitchDevice::Config& config, std::uint64_t seed = 1) {
+  explicit Harness(const PortSwitch::Config& config, std::uint64_t seed = 1) {
     sw.emplace(queue, config, seed);
     out.emplace(queue, std::make_unique<phy::NoErrors>(), seed + 1);
     out->set_receiver(
         [this](sim::FlitEnvelope&& envelope) { received.push_back(envelope); });
-    sw->set_output(&*out);
+    sw->set_output(0, &*out);
   }
 };
 
@@ -42,7 +50,7 @@ sim::FlitEnvelope data_envelope(const FlitCodec& codec, std::uint16_t seq) {
 }
 
 TEST(SwitchDevice, ForwardsPristineFlit) {
-  SwitchDevice::Config config;
+  PortSwitch::Config config = stage_config();
   config.protocol = Protocol::kRxl;
   Harness harness(config);
   FlitCodec codec(Protocol::kRxl);
@@ -55,7 +63,7 @@ TEST(SwitchDevice, ForwardsPristineFlit) {
 }
 
 TEST(SwitchDevice, ForwardLatencyApplied) {
-  SwitchDevice::Config config;
+  PortSwitch::Config config = stage_config();
   config.forward_latency = 12'345;
   Harness harness(config);
   FlitCodec codec(Protocol::kRxl);
@@ -66,7 +74,7 @@ TEST(SwitchDevice, ForwardLatencyApplied) {
 }
 
 TEST(SwitchDevice, CorrectsSingleSymbolAndRestoresPristine) {
-  SwitchDevice::Config config;
+  PortSwitch::Config config = stage_config();
   config.protocol = Protocol::kRxl;
   Harness harness(config);
   FlitCodec codec(Protocol::kRxl);
@@ -82,7 +90,7 @@ TEST(SwitchDevice, CorrectsSingleSymbolAndRestoresPristine) {
 
 TEST(SwitchDevice, DropsUncorrectableSilently) {
   // The silent flit drop at the heart of the paper: no NACK, no forward.
-  SwitchDevice::Config config;
+  PortSwitch::Config config = stage_config();
   config.protocol = Protocol::kRxl;
   Harness harness(config);
   FlitCodec codec(Protocol::kRxl);
@@ -100,7 +108,7 @@ TEST(SwitchDevice, DropsUncorrectableSilently) {
 TEST(SwitchDevice, CxlRegeneratesCrcOverInternalCorruption) {
   // CXL: internal corruption is re-signed by the switch's link-layer CRC —
   // the endpoint will accept corrupt data (Fail_data).
-  SwitchDevice::Config config;
+  PortSwitch::Config config = stage_config();
   config.protocol = Protocol::kCxl;
   config.internal_error_rate = 1.0;  // corrupt every transit
   Harness harness(config, 99);
@@ -122,7 +130,7 @@ TEST(SwitchDevice, CxlRegeneratesCrcOverInternalCorruption) {
 TEST(SwitchDevice, RxlPreservesEcrcOverInternalCorruption) {
   // RXL: the switch cannot re-sign; the stale ECRC travels on and the
   // endpoint's ISN check will reject the flit.
-  SwitchDevice::Config config;
+  PortSwitch::Config config = stage_config();
   config.protocol = Protocol::kRxl;
   config.internal_error_rate = 1.0;
   Harness harness(config, 99);
@@ -142,7 +150,7 @@ TEST(SwitchDevice, RxlPreservesEcrcOverInternalCorruption) {
 TEST(SwitchDevice, CxlDropsOnLinkCrcMismatch) {
   // A miscorrected-FEC image (valid codeword, wrong bytes) reaches the CXL
   // switch's CRC check and is dropped there.
-  SwitchDevice::Config config;
+  PortSwitch::Config config = stage_config();
   config.protocol = Protocol::kCxl;
   Harness harness(config);
   FlitCodec codec(Protocol::kCxl);
@@ -158,13 +166,16 @@ TEST(SwitchDevice, CxlDropsOnLinkCrcMismatch) {
 }
 
 TEST(SwitchDevice, NoOutputConfiguredIsSafe) {
-  SwitchDevice::Config config;
+  PortSwitch::Config config = stage_config();
   sim::EventQueue queue;
-  SwitchDevice sw(queue, config, 1);
+  PortSwitch sw(queue, config, 1);
   FlitCodec codec(Protocol::kRxl);
   sw.on_flit(data_envelope(codec, 0));
   queue.run();
-  EXPECT_EQ(sw.stats().flits_forwarded, 1u);  // processed, nowhere to go
+  // Processed, nowhere to go: counted as unroutable, never forwarded.
+  EXPECT_EQ(sw.stats().flits_in, 1u);
+  EXPECT_EQ(sw.stats().dropped_no_route, 1u);
+  EXPECT_EQ(sw.stats().flits_forwarded, 0u);
 }
 
 }  // namespace
